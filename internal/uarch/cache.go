@@ -37,6 +37,11 @@ type Cache struct {
 	dataT [][][]uint64
 	tagT  [][]uint64 // control taint: which line's *presence* is secret-dependent
 
+	// lineBits is each line's tainted-bit total over tagT and dataT, kept by
+	// setTagT/setDataT for the running census of tainted lines.
+	lineBits [][]int
+	census   taintCount
+
 	mshrs []mshr
 	lfb   []lfbEntry
 
@@ -60,7 +65,9 @@ func NewCache(name string, cfg CacheConfig, space *mem.Space) *Cache {
 	c.data = make([][][]uint64, cfg.Sets)
 	c.dataT = make([][][]uint64, cfg.Sets)
 	c.tagT = make([][]uint64, cfg.Sets)
+	c.lineBits = make([][]int, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
+		c.lineBits[s] = make([]int, cfg.Ways)
 		c.tags[s] = make([]uint64, cfg.Ways)
 		c.valid[s] = make([]bool, cfg.Ways)
 		c.lru[s] = make([]int, cfg.Ways)
@@ -98,6 +105,7 @@ func (c *Cache) Reset() {
 			c.valid[s][w] = false
 			c.lru[s][w] = 0
 			c.tagT[s][w] = 0
+			c.lineBits[s][w] = 0
 			data, dataT := c.data[s][w], c.dataT[s][w]
 			for i := range data {
 				data[i] = 0
@@ -117,9 +125,22 @@ func (c *Cache) Reset() {
 			e.taint[j] = 0
 		}
 	}
+	c.census = taintCount{}
 	c.fetchBusyUntil = 0
 	c.Accesses = 0
 	c.Misses = 0
+}
+
+// setTagT and setDataT write a line's shadow words, keeping the census of
+// tainted lines current.
+func (c *Cache) setTagT(set, way int, t uint64) {
+	c.census.setWord(&c.lineBits[set][way], c.tagT[set][way], t)
+	c.tagT[set][way] = t
+}
+
+func (c *Cache) setDataT(set, way, i int, t uint64) {
+	c.census.setWord(&c.lineBits[set][way], c.dataT[set][way][i], t)
+	c.dataT[set][way][i] = t
 }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
@@ -233,13 +254,13 @@ func (c *Cache) Access(addr uint64, cycle int) AccessResult {
 	way := c.victim(set)
 	c.tags[set][way] = tag
 	c.valid[set][way] = true
-	c.tagT[set][way] = 0
+	c.setTagT(set, way, 0)
 	c.touch(set, way)
 	words := c.cfg.LineBytes / 8
 	for i := 0; i < words; i++ {
 		v, t := c.space.Read64(line + uint64(i*8))
 		c.data[set][way][i] = v
-		c.dataT[set][way][i] = t
+		c.setDataT(set, way, i, t)
 		c.lfb[mi].data[i] = v
 		c.lfb[mi].taint[i] = t
 	}
@@ -252,7 +273,7 @@ func (c *Cache) Access(addr uint64, cycle int) AccessResult {
 // control-taint fabric when a tainted address selected the fill).
 func (c *Cache) TaintTag(set, way int) {
 	if set < len(c.tagT) && way < len(c.tagT[set]) {
-		c.tagT[set][way] = ^uint64(0)
+		c.setTagT(set, way, ^uint64(0))
 	}
 }
 
@@ -272,7 +293,7 @@ func (c *Cache) Write64(addr uint64, v, t uint64) {
 	if w := c.findWay(set, c.tagOf(addr)); w >= 0 {
 		idx := int(addr%uint64(c.cfg.LineBytes)) / 8
 		c.data[set][w][idx] = v
-		c.dataT[set][w][idx] = t
+		c.setDataT(set, w, idx, t)
 	}
 	c.space.Write64(addr, v, t)
 }
@@ -284,11 +305,13 @@ func (c *Cache) FlushAll() {
 		for w := range c.valid[s] {
 			c.valid[s][w] = false
 			c.tagT[s][w] = 0
+			c.lineBits[s][w] = 0
 			for i := range c.dataT[s][w] {
 				c.dataT[s][w][i] = 0
 			}
 		}
 	}
+	c.census = taintCount{}
 }
 
 // MSHRLive reports whether any MSHR tracking the LFB slot i is still valid.
@@ -296,23 +319,23 @@ func (c *Cache) MSHRLive(i int, cycle int) bool {
 	return c.mshrs[i].valid && cycle < c.mshrs[i].readyAt
 }
 
-// Census counts tainted state elements and bits: cache lines (tag or data
-// taint) and LFB slots.
-func (c *Cache) Census() (tainted, bitCount int) {
+// Census counts tainted cache lines (tag or data taint) and their tainted
+// bits; line-fill-buffer slots are counted separately by LFBCensus.
+func (c *Cache) Census() (tainted, bitCount int) { return c.census.elems, c.census.bits }
+
+// censusScan is Census recounted from the shadow state.
+func (c *Cache) censusScan() taintCount {
+	var n taintCount
 	for s := range c.tags {
 		for w := range c.tags[s] {
-			elemBits := 0
-			elemBits += bits.OnesCount64(c.tagT[s][w])
+			elemBits := bits.OnesCount64(c.tagT[s][w])
 			for _, t := range c.dataT[s][w] {
 				elemBits += bits.OnesCount64(t)
 			}
-			if elemBits > 0 {
-				tainted++
-				bitCount += elemBits
-			}
+			n.addElem(elemBits)
 		}
 	}
-	return tainted, bitCount
+	return n
 }
 
 // LFBCensus counts tainted line-fill-buffer slots; live reports only those
@@ -346,6 +369,9 @@ type LinePos struct{ Set, Way int }
 // TaintedLinePositions lists lines with tag taint and whether each is valid.
 func (c *Cache) TaintedLinePositions() []LinePos {
 	var out []LinePos
+	if c.census.elems == 0 {
+		return out // a tag-tainted line is a tainted line
+	}
 	for s := range c.tagT {
 		for w := range c.tagT[s] {
 			if c.tagT[s][w] != 0 && c.valid[s][w] {

@@ -2,7 +2,6 @@ package uarch
 
 import (
 	"fmt"
-	"math/bits"
 
 	"dejavuzz/internal/ift"
 	"dejavuzz/internal/isa"
@@ -78,6 +77,10 @@ type robEntry struct {
 	memSpeculative  bool
 	stData, stDataT uint64
 	ldqIdx, stqIdx  int
+
+	// taintBits is the entry's tainted-bit total over taint, addrTaint and
+	// stDataT, kept by the setROB* setters for the rob census.
+	taintBits int
 }
 
 type fetchEntry struct {
@@ -198,6 +201,9 @@ type Core struct {
 	TaintTraceOn bool
 	// censusScratch is the reusable per-cycle census buffer (taint tracing).
 	censusScratch []ModuleTaint
+	// Running taint censuses of the core's own shadow arrays (see
+	// taintCount): RoB entries, architectural registers, LDQ+STQ slots.
+	robCensus, regCensus, lsuCensus taintCount
 	// BugWitness records mechanism-level evidence when an injected bug's
 	// code path actually fired (used to label findings in Table 5 runs).
 	BugWitness map[string]int
@@ -253,6 +259,7 @@ func (c *Core) Reset(cfg Config, space *mem.Space, mode IFTMode) {
 	c.archXT = [32]uint64{}
 	c.archF = [32]uint64{}
 	c.archFT = [32]uint64{}
+	c.robCensus, c.regCensus, c.lsuCensus = taintCount{}, taintCount{}, taintCount{}
 
 	if len(c.ldq) != cfg.LDQEntries {
 		c.ldq = make([]queueEntry, cfg.LDQEntries)
@@ -373,6 +380,7 @@ func (c *Core) Restart(entry uint64) {
 	for i := range c.stq {
 		c.stq[i] = queueEntry{}
 	}
+	c.lsuCensus = taintCount{}
 	c.ldqFree = c.Cfg.LDQEntries
 	c.stqFree = c.Cfg.STQEntries
 	c.trapPendingAt = -1
@@ -775,15 +783,15 @@ func overlaps(a uint64, an int, b uint64, bn int) bool {
 // a secret-dependent rollback taints every RoB entry field and the frontend.
 func (c *Core) sprayROBTaint() {
 	for i := range c.rob {
-		c.rob[i].taint = ^uint64(0)
-		c.rob[i].addrTaint = ^uint64(0)
+		c.setROBTaint(&c.rob[i], ^uint64(0))
+		c.setROBAddrTaint(&c.rob[i], ^uint64(0))
 	}
 	c.pcTaint = ^uint64(0)
 	for i := range c.ldq {
-		c.ldq[i].taint = ^uint64(0)
+		c.setQueueTaint(&c.ldq[i], ^uint64(0))
 	}
 	for i := range c.stq {
-		c.stq[i].taint = ^uint64(0)
+		c.setQueueTaint(&c.stq[i], ^uint64(0))
 	}
 }
 
@@ -1014,19 +1022,19 @@ func (c *Core) executeSimple(e *robEntry, v1, t1, v2, t2 uint64, lat int) {
 	case isa.ClassBranch:
 		e.actTaken = gm.PC != e.pc+4
 		e.actTarget = e.pc + uint64(in.Imm)
-		e.taint = cmpTaint(t1, t2)
+		c.setROBTaint(e, cmpTaint(t1, t2))
 		e.targetT = 0
 	case isa.ClassJump:
 		e.actTaken = true
 		e.actTarget = e.pc + uint64(in.Imm)
 		e.val = e.pc + 4
-		e.taint = 0
+		c.setROBTaint(e, 0)
 	case isa.ClassJumpReg:
 		e.actTaken = true
 		e.actTarget = (v1 + uint64(in.Imm)) &^ 1
 		e.targetT = addTaint(t1, 0)
 		e.val = e.pc + 4
-		e.taint = 0
+		c.setROBTaint(e, 0)
 	default:
 		if e.fpDest {
 			e.val = gm.F[in.Rd]
@@ -1035,7 +1043,7 @@ func (c *Core) executeSimple(e *robEntry, v1, t1, v2, t2 uint64, lat int) {
 		} else {
 			e.val = 0
 		}
-		e.taint = dataTaint(in, v1, v2, t1, t2)
+		c.setROBTaint(e, dataTaint(in, v1, v2, t1, t2))
 	}
 }
 
@@ -1047,10 +1055,10 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 	e.state = stExecuting
 	addr := v1 + uint64(in.Imm)
 	e.addr = addr
-	e.addrTaint = addTaint(t1, 0)
+	c.setROBAddrTaint(e, addTaint(t1, 0))
 	e.addrKnown = true
 	if e.ldqIdx >= 0 {
-		c.ldq[e.ldqIdx].taint = e.addrTaint
+		c.setQueueTaint(&c.ldq[e.ldqIdx], e.addrTaint)
 	}
 	size := in.Op.MemSize()
 	lat := 1
@@ -1087,10 +1095,12 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 			res := c.DCache.Access(dataAddr, c.Cycle)
 			lat += res.Latency
 			v, t := c.readMemData(dataAddr, size, in)
-			e.val, e.taint = v, t
+			e.val = v
+			c.setROBTaint(e, t)
 			c.applyAddrCtl(e, dataAddr, res)
 		} else {
-			e.val, e.taint = 0, 0
+			e.val = 0
+			c.setROBTaint(e, 0)
 		}
 		e.doneAt = c.Cycle + lat
 		c.chargeLoadWB(e)
@@ -1099,7 +1109,8 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 
 	// Store-to-load forwarding and memory-disambiguation speculation.
 	if fwd, fv, ft, unknown := c.forwardFromStores(e, dataAddr, size); fwd {
-		e.val, e.taint = fv, ft
+		e.val = fv
+		c.setROBTaint(e, ft)
 		// A younger unknown store between the match and the load keeps the
 		// load speculative with respect to memory ordering.
 		e.memSpeculative = unknown
@@ -1115,7 +1126,8 @@ func (c *Core) executeLoad(e *robEntry, v1, t1 uint64) {
 	res := c.DCache.Access(dataAddr, c.Cycle)
 	lat += res.Latency
 	v, t := c.readMemData(dataAddr, size, in)
-	e.val, e.taint = v, t
+	e.val = v
+	c.setROBTaint(e, t)
 	c.applyAddrCtl(e, dataAddr, res)
 	e.doneAt = c.Cycle + lat
 	c.chargeLoadWB(e)
@@ -1181,7 +1193,7 @@ func (c *Core) applyAddrCtl(e *robEntry, dataAddr uint64, res AccessResult) {
 		c.DCache.TaintTag(res.Set, res.Way)
 		c.DTLB.TaintPage(dataAddr)
 		if eRef.valid && eRef.seq == seq {
-			eRef.taint = ^uint64(0)
+			c.setROBTaint(eRef, ^uint64(0))
 		}
 	})
 }
@@ -1218,11 +1230,12 @@ func (c *Core) executeStore(e *robEntry, v1, t1, v2, t2 uint64) {
 	e.state = stExecuting
 	addr := v1 + uint64(in.Imm)
 	e.addr = addr
-	e.addrTaint = addTaint(t1, 0)
+	c.setROBAddrTaint(e, addTaint(t1, 0))
 	e.addrKnown = true
-	e.stData, e.stDataT = v2, t2
+	e.stData = v2
+	c.setROBStDataT(e, t2)
 	if e.stqIdx >= 0 {
-		c.stq[e.stqIdx].taint = e.addrTaint | t2
+		c.setQueueTaint(&c.stq[e.stqIdx], e.addrTaint|t2)
 	}
 	size := in.Op.MemSize()
 	e.doneAt = c.Cycle + 1
@@ -1322,6 +1335,7 @@ func (c *Core) dispatchStage() {
 			// stale control taint folds into the new contents (Policy 2).
 			inherit = e.taint | e.addrTaint
 		}
+		c.robCensus.clearElem(&e.taintBits)
 		*e = robEntry{
 			valid: true, seq: c.seqNext, pc: fe.pc, inst: in,
 			state: stDispatched, ldqIdx: -1, stqIdx: -1,
@@ -1330,8 +1344,8 @@ func (c *Core) dispatchStage() {
 			isLoad: isLoad, isStore: isStore,
 			fpDest: in.FPDest(),
 			src1:   src1, src2: src2, hasSrc1: hasSrc1, hasSrc2: hasSrc2,
-			taint: inherit,
 		}
+		c.setROBTaint(e, inherit)
 		c.seqNext++
 		c.robTail = (c.robTail + 1) % len(c.rob)
 		c.robCount++
@@ -1554,33 +1568,34 @@ func (c *Core) predictTarget(pc uint64) (uint64, bool) {
 
 // freeLDQ releases a load-queue slot; CellIFT shadow taint persists.
 func (c *Core) freeLDQ(i int) {
-	t := c.ldq[i].taint
-	c.ldq[i] = queueEntry{}
-	if c.Mode == IFTCellIFT {
-		c.ldq[i].taint = t
-	}
+	c.freeQueue(&c.ldq[i])
 	c.ldqFree++
 }
 
 // freeSTQ releases a store-queue slot; CellIFT shadow taint persists.
 func (c *Core) freeSTQ(i int) {
-	t := c.stq[i].taint
-	c.stq[i] = queueEntry{}
-	if c.Mode == IFTCellIFT {
-		c.stq[i].taint = t
-	}
+	c.freeQueue(&c.stq[i])
 	c.stqFree++
+}
+
+func (c *Core) freeQueue(q *queueEntry) {
+	q.valid = false
+	if c.Mode != IFTCellIFT {
+		c.setQueueTaint(q, 0)
+	}
 }
 
 // writeArch retires a value into the architectural register file.
 func (c *Core) writeArch(rd int, fp bool, v, t uint64) {
 	if fp {
 		c.archF[rd] = v
+		c.regCensus.set(c.archFT[rd], t)
 		c.archFT[rd] = t
 		return
 	}
 	if rd != 0 {
 		c.archX[rd] = v
+		c.regCensus.set(c.archXT[rd], t)
 		c.archXT[rd] = t
 	}
 }
@@ -1600,123 +1615,6 @@ func (c *Core) Run(maxCycles int) int {
 		}
 	}
 	return c.Cycle - start
-}
-
-// --- census -----------------------------------------------------------------
-
-// ModuleTaint is one module's taint census entry.
-type ModuleTaint struct {
-	Module  string
-	Tainted int
-	Bits    int
-}
-
-// Census reports per-module tainted element and bit counts across the whole
-// microarchitecture (the coverage substrate and the Figure 6 series).
-func (c *Core) Census() []ModuleTaint { return c.CensusInto(nil) }
-
-// CensusInto is Census appending into a caller-provided buffer — the
-// per-cycle taint-tracing path reuses one scratch slice instead of
-// allocating a census every cycle.
-func (c *Core) CensusInto(out []ModuleTaint) []ModuleTaint {
-	add := func(name string, tainted, bitCount int) {
-		out = append(out, ModuleTaint{Module: name, Tainted: tainted, Bits: bitCount})
-	}
-
-	// Frontend: pc + fetch buffer.
-	fb := 0
-	if c.pcTaint != 0 {
-		fb++
-	}
-	add("frontend", fb, bits.OnesCount64(c.pcTaint))
-
-	// ROB.
-	// The RoB census covers the raw shadow state: squashed entries retain
-	// their taint registers exactly as a shadow circuit would.
-	rt, rb := 0, 0
-	for i := range c.rob {
-		b := bits.OnesCount64(c.rob[i].taint) + bits.OnesCount64(c.rob[i].addrTaint) +
-			bits.OnesCount64(c.rob[i].stDataT)
-		if b > 0 {
-			rt++
-			rb += b
-		}
-	}
-	add("rob", rt, rb)
-
-	// Register files.
-	xt, xb := 0, 0
-	for i := range c.archXT {
-		if c.archXT[i] != 0 {
-			xt++
-			xb += bits.OnesCount64(c.archXT[i])
-		}
-	}
-	for i := range c.archFT {
-		if c.archFT[i] != 0 {
-			xt++
-			xb += bits.OnesCount64(c.archFT[i])
-		}
-	}
-	add("regfile", xt, xb)
-
-	lt, lb := 0, 0
-	for i := range c.ldq {
-		if c.ldq[i].taint != 0 {
-			lt++
-			lb += bits.OnesCount64(c.ldq[i].taint)
-		}
-	}
-	for i := range c.stq {
-		if c.stq[i].taint != 0 {
-			lt++
-			lb += bits.OnesCount64(c.stq[i].taint)
-		}
-	}
-	add("lsu", lt, lb)
-
-	dt, db := c.DCache.Census()
-	add("dcache", dt, db)
-	it, ib := c.ICache.Census()
-	add("icache", it, ib)
-	lf, _ := c.DCache.LFBCensus(c.Cycle)
-	add("lfb", lf, lf*64)
-
-	tt, tb := c.DTLB.Census()
-	add("dtlb", tt, tb)
-	tt, tb = c.ITLB.Census()
-	add("itlb", tt, tb)
-	tt, tb = c.L2TLB.Census()
-	add("l2tlb", tt, tb)
-
-	tt, tb = c.bht.Census()
-	add("bht", tt, tb)
-	tt, tb = c.btb.Census()
-	add("btb", tt, tb)
-	tt, tb = c.faubtb.Census()
-	add("faubtb", tt, tb)
-	tt, tb = c.ind.Census()
-	add("indbtb", tt, tb)
-	tt, tb = c.ras.Census()
-	add("ras", tt, tb)
-	tt, tb = c.loop.Census()
-	add("loop", tt, tb)
-
-	ft := 0
-	if c.fpuLatchTaint != 0 {
-		ft = 1
-	}
-	add("fpu", ft, bits.OnesCount64(c.fpuLatchTaint))
-	return out
-}
-
-// TaintSum totals tainted bits across all modules.
-func (c *Core) TaintSum() int {
-	sum := 0
-	for _, m := range c.Census() {
-		sum += m.Bits
-	}
-	return sum
 }
 
 // Sink is a tainted microarchitectural location considered as a potential

@@ -53,6 +53,23 @@ func randProgram(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
+// branchyProgram emits ten data-dependent forward branches over random
+// small constants, counting taken paths in s0 and iterations in s1.
+func branchyProgram(rng *rand.Rand) string {
+	var b strings.Builder
+	b.WriteString("li a6, 0x8000\nli s0, 0\n")
+	for i := 0; i < 10; i++ {
+		v1, v2 := rng.Intn(8), rng.Intn(8)
+		fmt.Fprintf(&b, "li t0, %d\nli t1, %d\n", v1, v2)
+		fmt.Fprintf(&b, "beq t0, t1, skip%d\n", i)
+		fmt.Fprintf(&b, "addi s0, s0, %d\n", i+1)
+		fmt.Fprintf(&b, "skip%d:\n", i)
+		fmt.Fprintf(&b, "addi s1, s1, 1\n")
+	}
+	b.WriteString("ecall\n")
+	return b.String()
+}
+
 // TestCoSimRandomPrograms: the out-of-order core's committed architectural
 // state must match the in-order golden model on random programs — the
 // fundamental correctness property speculative execution must preserve.
@@ -102,18 +119,7 @@ func TestCoSimRandomPrograms(t *testing.T) {
 func TestCoSimBranchyPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 15; trial++ {
-		var b strings.Builder
-		b.WriteString("li a6, 0x8000\nli s0, 0\n")
-		for i := 0; i < 10; i++ {
-			v1, v2 := rng.Intn(8), rng.Intn(8)
-			fmt.Fprintf(&b, "li t0, %d\nli t1, %d\n", v1, v2)
-			fmt.Fprintf(&b, "beq t0, t1, skip%d\n", i)
-			fmt.Fprintf(&b, "addi s0, s0, %d\n", i+1)
-			fmt.Fprintf(&b, "skip%d:\n", i)
-			fmt.Fprintf(&b, "addi s1, s1, 1\n")
-		}
-		b.WriteString("ecall\n")
-		p := isa.MustAsm(0x1000, b.String())
+		p := isa.MustAsm(0x1000, branchyProgram(rng))
 
 		sp := mem.NewSpace()
 		sp.MustAddRegion(mem.Region{Name: "all", Base: 0x1000, Size: 0x10000,

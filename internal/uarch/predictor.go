@@ -6,6 +6,7 @@ import "math/bits"
 type BHT struct {
 	counters []uint8
 	taint    []uint64
+	census   taintCount
 }
 
 // NewBHT builds a branch history table initialised strongly-not-taken, so a
@@ -21,6 +22,7 @@ func (b *BHT) Reset() {
 		b.counters[i] = 0
 		b.taint[i] = 0
 	}
+	b.census = taintCount{}
 }
 
 func (b *BHT) index(pc uint64) int { return int(pc>>2) % len(b.counters) }
@@ -38,11 +40,12 @@ func (b *BHT) Update(pc uint64, taken bool, taint uint64) {
 	} else if b.counters[i] > 0 {
 		b.counters[i]--
 	}
+	b.census.set(b.taint[i], b.taint[i]|taint)
 	b.taint[i] |= taint
 }
 
 // Census counts tainted entries/bits.
-func (b *BHT) Census() (tainted, bitCount int) { return censusU64(b.taint) }
+func (b *BHT) Census() (tainted, bitCount int) { return b.census.elems, b.census.bits }
 
 // btbEntry maps a branch PC to its last-seen target.
 type btbEntry struct {
@@ -63,6 +66,7 @@ type BTB struct {
 	Name    string
 	entries []btbEntry
 	minConf int
+	census  taintCount
 }
 
 // NewBTB builds a branch target buffer that predicts after one training.
@@ -90,6 +94,7 @@ func (b *BTB) Reset() {
 	for i := range b.entries {
 		b.entries[i] = btbEntry{}
 	}
+	b.census = taintCount{}
 }
 
 func (b *BTB) index(pc uint64) int { return int(pc>>2) % len(b.entries) }
@@ -114,21 +119,22 @@ func (b *BTB) Update(pc, target uint64, taint uint64) {
 	e.valid = true
 	e.tag = pc
 	e.target = target
-	e.taint |= taint
 	if taint != 0 {
+		b.census.set(e.taint, ^uint64(0))
 		e.taint = ^uint64(0)
 	}
 }
 
 // Census counts tainted entries/bits.
-func (b *BTB) Census() (tainted, bitCount int) {
+func (b *BTB) Census() (tainted, bitCount int) { return b.census.elems, b.census.bits }
+
+// censusScan is Census recounted from the entries.
+func (b *BTB) censusScan() taintCount {
+	var n taintCount
 	for i := range b.entries {
-		if b.entries[i].taint != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(b.entries[i].taint)
-		}
+		n.addElem(bits.OnesCount64(b.entries[i].taint))
 	}
-	return tainted, bitCount
+	return n
 }
 
 // RAS is the return address stack. Snapshotting granularity models the two
@@ -138,6 +144,8 @@ type RAS struct {
 	stack []uint64
 	taint []uint64
 	tos   int // index of next free slot; top entry is stack[tos-1]
+
+	census taintCount
 
 	// snap memoises the last Snapshot between mutations: the frontend
 	// snapshots per fetched instruction but the stack only changes on
@@ -158,6 +166,7 @@ func (r *RAS) Reset() {
 		r.stack[i] = 0
 		r.taint[i] = 0
 	}
+	r.census = taintCount{}
 	r.tos = 0
 	r.snapValid = false
 	r.snap = RASSnapshot{}
@@ -171,7 +180,7 @@ func (r *RAS) wrap(i int) int {
 // Push records a call's return address.
 func (r *RAS) Push(addr, taint uint64) {
 	r.stack[r.wrap(r.tos)] = addr
-	r.taint[r.wrap(r.tos)] = taint
+	r.setTaint(r.wrap(r.tos), taint)
 	r.tos++
 	r.snapValid = false
 }
@@ -214,16 +223,24 @@ func (r *RAS) Restore(s RASSnapshot, buggyTopOnly bool) {
 		r.tos = s.TOS
 		top := r.wrap(r.tos - 1)
 		r.stack[top] = s.Stack[top]
-		r.taint[top] = s.Taint[top]
+		r.setTaint(top, s.Taint[top])
 		return
 	}
 	r.tos = s.TOS
 	copy(r.stack, s.Stack)
-	copy(r.taint, s.Taint)
+	for i, t := range s.Taint {
+		r.setTaint(i, t)
+	}
+}
+
+// setTaint writes one entry's shadow, keeping the census current.
+func (r *RAS) setTaint(i int, t uint64) {
+	r.census.set(r.taint[i], t)
+	r.taint[i] = t
 }
 
 // Census counts tainted entries/bits.
-func (r *RAS) Census() (tainted, bitCount int) { return censusU64(r.taint) }
+func (r *RAS) Census() (tainted, bitCount int) { return r.census.elems, r.census.bits }
 
 // loopEntry tracks a loop branch's trip behaviour.
 type loopEntry struct {
@@ -240,6 +257,7 @@ type loopEntry struct {
 type LoopPredictor struct {
 	entries []loopEntry
 	tripMax int
+	census  taintCount
 }
 
 // NewLoopPredictor builds a loop predictor.
@@ -258,6 +276,7 @@ func (l *LoopPredictor) Reset() {
 	for i := range l.entries {
 		l.entries[i] = loopEntry{}
 	}
+	l.census = taintCount{}
 }
 
 func (l *LoopPredictor) index(pc uint64) int { return int(pc>>2) % len(l.entries) }
@@ -277,8 +296,10 @@ func (l *LoopPredictor) Predict(pc uint64) (override, taken bool) {
 func (l *LoopPredictor) Update(pc uint64, taken bool, taint uint64) {
 	e := &l.entries[l.index(pc)]
 	if !e.valid || e.tag != pc {
+		l.census.set(e.taint, 0)
 		*e = loopEntry{valid: true, tag: pc}
 	}
+	l.census.set(e.taint, e.taint|taint)
 	e.taint |= taint
 	if taken {
 		e.streak++
@@ -297,22 +318,13 @@ func (l *LoopPredictor) Update(pc uint64, taken bool, taint uint64) {
 }
 
 // Census counts tainted entries/bits.
-func (l *LoopPredictor) Census() (tainted, bitCount int) {
-	for i := range l.entries {
-		if l.entries[i].taint != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(l.entries[i].taint)
-		}
-	}
-	return tainted, bitCount
-}
+func (l *LoopPredictor) Census() (tainted, bitCount int) { return l.census.elems, l.census.bits }
 
-func censusU64(ts []uint64) (tainted, bitCount int) {
-	for _, t := range ts {
-		if t != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(t)
-		}
+// censusScan is Census recounted from the entries.
+func (l *LoopPredictor) censusScan() taintCount {
+	var n taintCount
+	for i := range l.entries {
+		n.addElem(bits.OnesCount64(l.entries[i].taint))
 	}
-	return tainted, bitCount
+	return n
 }

@@ -18,6 +18,7 @@ type TLB struct {
 	cfg     TLBConfig
 	entries []tlbEntry
 	next    *TLB // next level (L2); nil means page walk
+	census  taintCount
 
 	Accesses int
 	Misses   int
@@ -31,9 +32,7 @@ func NewTLB(name string, cfg TLBConfig, next *TLB) *TLB {
 // Reset returns the TLB to its construction-time state in place (entries
 // and statistics zeroed; the next-level link is untouched).
 func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = tlbEntry{}
-	}
+	t.FlushAll()
 	t.Accesses = 0
 	t.Misses = 0
 }
@@ -83,6 +82,7 @@ func (t *TLB) fill(vpn, taint uint64) {
 			victim = i
 		}
 	}
+	t.census.set(t.entries[victim].taint, taint)
 	t.entries[victim] = tlbEntry{valid: true, vpn: vpn, taint: taint}
 	t.touch(victim)
 }
@@ -92,8 +92,9 @@ func (t *TLB) fill(vpn, taint uint64) {
 func (t *TLB) TaintPage(addr uint64) {
 	vpn := t.vpn(addr)
 	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].vpn == vpn {
-			t.entries[i].taint = ^uint64(0)
+		if e := &t.entries[i]; e.valid && e.vpn == vpn {
+			t.census.set(e.taint, ^uint64(0))
+			e.taint = ^uint64(0)
 		}
 	}
 	if t.next != nil {
@@ -106,15 +107,17 @@ func (t *TLB) FlushAll() {
 	for i := range t.entries {
 		t.entries[i] = tlbEntry{}
 	}
+	t.census = taintCount{}
 }
 
 // Census counts tainted entries and bits.
-func (t *TLB) Census() (tainted, bitCount int) {
+func (t *TLB) Census() (tainted, bitCount int) { return t.census.elems, t.census.bits }
+
+// censusScan is Census recounted from the entries.
+func (t *TLB) censusScan() taintCount {
+	var n taintCount
 	for i := range t.entries {
-		if t.entries[i].taint != 0 {
-			tainted++
-			bitCount += bits.OnesCount64(t.entries[i].taint)
-		}
+		n.addElem(bits.OnesCount64(t.entries[i].taint))
 	}
-	return tainted, bitCount
+	return n
 }
