@@ -81,12 +81,15 @@ func relocateWindow(run *SingleRun, st *gen.Stimulus) bool {
 	}
 	c := run.Core
 	since := run.RT.TransientStart()
-	wantReason := map[gen.TriggerType]uarch.SquashReason{
-		gen.TrigBranchMispred: uarch.SquashBranchMispredict,
-		gen.TrigJumpMispred:   uarch.SquashJumpMispredict,
-		gen.TrigReturnMispred: uarch.SquashReturnMispredict,
-	}[st.Seed.Trigger]
-	if wantReason == uarch.SquashNone {
+	var wantReason uarch.SquashReason
+	switch st.Seed.Trigger {
+	case gen.TrigBranchMispred:
+		wantReason = uarch.SquashBranchMispredict
+	case gen.TrigJumpMispred:
+		wantReason = uarch.SquashJumpMispredict
+	case gen.TrigReturnMispred:
+		wantReason = uarch.SquashReturnMispredict
+	default:
 		return false
 	}
 	sawReason := false

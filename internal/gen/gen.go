@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"dejavuzz/internal/isa"
@@ -139,8 +139,10 @@ type Generator struct {
 	rng *rand.Rand
 
 	// scenarios is the enabled family set mutation's swap-scenario operator
-	// draws from (sorted; defaults to every registered family).
+	// draws from (sorted; nil selects every registered family, whose sorted
+	// names allFams caches on first use).
 	scenarios []string
+	allFams   []string
 	// lines/setup/body are the assembly-materialisation scratch buffers
 	// reused across packet builds (valid only within one build call);
 	// trainSpecs is the recycled training-spec slice the family hooks
@@ -150,19 +152,26 @@ type Generator struct {
 	body       []string
 	trainSpecs []scenario.Training
 	// brng is the per-stimulus derivation RNG, reseeded from Seed.Rand for
-	// every build (so builds stay pure functions of the seed).
+	// every build (so builds stay pure functions of the seed); bsrc is its
+	// lazily seeded source.
 	brng *rand.Rand
+	bsrc derivSource
+	// asm assembles every packet the generator builds, memoising the small
+	// closed set of lines stimuli are made of.
+	asm *isa.Assembler
 	// trainCache memoises derived training packets, which are pure
 	// functions of (packet name, body, trigger offset) — a campaign draws
 	// them from a small closed set, so most rebuilds are cache hits.
 	// Cached packets are shared read-only across stimuli, exactly like a
 	// rebuilt packet is shared between a stimulus and its completed copy.
 	trainCache map[string]*swapmem.Packet
+	// keyBuf is the reused buffer training-cache keys are built in.
+	keyBuf []byte
 }
 
 // New returns a generator with the given RNG seed.
 func New(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed))}
+	return &Generator{rng: rand.New(rand.NewSource(seed)), asm: isa.NewAssembler()}
 }
 
 // Reseed returns the generator's RNG to the state New(seed) produces,
@@ -189,15 +198,20 @@ func (g *Generator) enabledScenarios() []string {
 	if g.scenarios != nil {
 		return g.scenarios
 	}
-	return scenario.Names()
+	if g.allFams == nil {
+		// Families register at init time, so the set never changes after.
+		g.allFams = scenario.Names()
+	}
+	return g.allFams
 }
 
 // buildRand returns the generator's reusable derivation RNG seeded to the
-// state rand.New(rand.NewSource(seed)) produces.
+// state rand.New(rand.NewSource(seed)) produces. Its source is the lazily
+// seeded derivSource, so reseeding costs O(1) rather than math/rand's 1841
+// seeding steps.
 func (g *Generator) buildRand(seed int64) *rand.Rand {
 	if g.brng == nil {
-		g.brng = rand.New(rand.NewSource(seed))
-		return g.brng
+		g.brng = rand.New(&g.bsrc)
 	}
 	g.brng.Seed(seed)
 	return g.brng
@@ -486,7 +500,7 @@ func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBo
 	lines = append(lines, setup...)
 
 	// --- padding, then jump to the trigger ---
-	setupWords, err := countWords(setup)
+	setupWords, err := g.asm.Count(swapmem.SwapBase, setup)
 	if err != nil {
 		return err
 	}
@@ -504,7 +518,7 @@ func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBo
 	st.WindowLo = T + 4*uint64(winOff)
 	st.WindowHi = st.WindowLo + 4*uint64(winLen)
 
-	img, err := isa.Asm(swapmem.SwapBase, strings.Join(lines, "\n"))
+	img, err := g.asm.Assemble(swapmem.SwapBase, lines)
 	if err != nil {
 		return fmt.Errorf("gen: transient packet: %w", err)
 	}
@@ -522,39 +536,26 @@ func (g *Generator) buildTransient(st *Stimulus, fam scenario.Scenario, windowBo
 	return nil
 }
 
-// countWords assembles a fragment to measure its instruction count.
-func countWords(lines []string) (int, error) {
-	if len(lines) == 0 {
-		return 0, nil
-	}
-	p, err := isa.Asm(swapmem.SwapBase, strings.Join(lines, "\n"))
-	if err != nil {
-		return 0, err
-	}
-	return len(p.Words), nil
-}
-
 // cachedTrainingPacket is trainingPacket behind the generator's memo table.
 // A derived training packet is a pure function of (name, setup, body,
 // trigger offset), and derived trainings draw from a small closed set of
 // bodies, so campaigns hit the cache on almost every rebuild. Random
 // (DejaVuzz*) trainings bypass this — their bodies are rng-unique.
 func (g *Generator) cachedTrainingPacket(name string, st *Stimulus, setup, body []string) (*swapmem.Packet, error) {
-	var key strings.Builder
-	key.Grow(64)
-	key.WriteString(name)
-	fmt.Fprintf(&key, "|%d", st.Seed.TriggerOff)
+	key := append(g.keyBuf[:0], name...)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, int64(st.Seed.TriggerOff), 10)
 	for _, l := range setup {
-		key.WriteByte('|')
-		key.WriteString(l)
+		key = append(key, '|')
+		key = append(key, l...)
 	}
-	key.WriteByte('#')
+	key = append(key, '#')
 	for _, l := range body {
-		key.WriteByte('|')
-		key.WriteString(l)
+		key = append(key, '|')
+		key = append(key, l...)
 	}
-	k := key.String()
-	if p, ok := g.trainCache[k]; ok {
+	g.keyBuf = key
+	if p, ok := g.trainCache[string(key)]; ok {
 		return p, nil
 	}
 	p, err := g.trainingPacket(name, st, setup, body)
@@ -562,7 +563,7 @@ func (g *Generator) cachedTrainingPacket(name string, st *Stimulus, setup, body 
 		if g.trainCache == nil {
 			g.trainCache = make(map[string]*swapmem.Packet)
 		}
-		g.trainCache[k] = p
+		g.trainCache[string(key)] = p
 	}
 	return p, err
 }
@@ -571,7 +572,7 @@ func (g *Generator) cachedTrainingPacket(name string, st *Stimulus, setup, body 
 // training instruction aligns with the trigger PC, the training body, and a
 // terminator. Lines are materialised into the generator's scratch buffer.
 func (g *Generator) trainingPacket(name string, st *Stimulus, setup, body []string) (*swapmem.Packet, error) {
-	setupWords, err := countWords(setup)
+	setupWords, err := g.asm.Count(swapmem.SwapBase, setup)
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +588,7 @@ func (g *Generator) trainingPacket(name string, st *Stimulus, setup, body []stri
 	}
 	lines = append(lines, "trainpc:")
 	lines = append(lines, body...)
-	img, err := isa.Asm(swapmem.SwapBase, strings.Join(lines, "\n"))
+	img, err := g.asm.Assemble(swapmem.SwapBase, lines)
 	if err != nil {
 		return nil, fmt.Errorf("gen: training packet %s: %w", name, err)
 	}

@@ -47,98 +47,268 @@ func (p *Program) renderBytes() []byte {
 // sequence. Expansion sizes are fixed in the first pass so labels resolve
 // deterministically.
 func Asm(base uint64, src string) (*Program, error) {
-	type line struct {
-		no   int
-		text string
-	}
-	lines := make([]line, 0, strings.Count(src, "\n")+1)
-	rest := src
-	for no := 1; rest != ""; no++ {
-		var text string
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			text, rest = rest[:i], rest[i+1:]
-		} else {
-			text, rest = rest, ""
-		}
-		// Two IndexByte scans beat IndexAny's rune loop on this hot path.
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
-		if i := strings.IndexByte(text, ';'); i >= 0 {
-			text = text[:i]
-		}
-		text = strings.TrimSpace(text)
-		if text == "" {
-			continue
-		}
-		lines = append(lines, line{no, text})
-	}
+	var a Assembler
+	return a.Assemble(base, strings.Split(src, "\n"))
+}
 
-	// Pass 1: sizes and labels.
+// Assembler assembles programs given as line slices, one source line per
+// element, with Asm's syntax and error messages (line numbers count
+// elements from 1).
+//
+// An Assembler from NewAssembler memoises every label-free line it parses,
+// keyed by the raw line text: mnemonic, operands and word count, plus the
+// encoded words when they depend on neither the pc nor labels (every
+// mnemonic outside the la/j/call/beqz/bnez pseudo-instructions and the
+// branch and jump classes). Callers that assemble many programs from a
+// small set of lines — stimulus generation — then parse and encode each
+// distinct line once. Lines carrying a "label:" are never memoised, and
+// pc- or label-dependent lines are re-encoded at their address on every
+// use. The memo is cleared whenever it would grow past memoCap lines. The
+// zero Assembler memoises nothing; Asm uses one.
+//
+// An Assembler is not safe for concurrent use.
+type Assembler struct {
+	memo  map[string]*asmLine
+	items []asmItem // layout of the program being assembled
+	// fresh holds the lines of the program being assembled that did not
+	// come from the memo. layout sizes it to the line count up front, so it
+	// never reallocates while items point into it.
+	fresh []asmLine
+
+	insts []Inst // encodeLine's scratch
+	// countLabels and countWords are Count's scratch.
+	countLabels map[string]uint64
+	countWords  []uint32
+}
+
+// memoCap bounds an Assembler's memo, in lines.
+const memoCap = 4096
+
+// asmLine is one parsed instruction line.
+type asmLine struct {
+	mnem  string // "" for a blank or comment-only line
+	args  []string
+	words int
+	enc   []uint32 // encoded words; nil when they depend on pc or labels
+}
+
+// asmItem is one instruction placed in the program being assembled.
+type asmItem struct {
+	*asmLine
+	no   int // source line number
+	addr uint64
+}
+
+// nopLine is the parse of "nop": generated stimuli are dominated by
+// alignment nops, so that line bypasses the memo lookup.
+var nopLine = &asmLine{mnem: "nop", words: 1, enc: []uint32{nopWord}}
+
+// NewAssembler returns a memoising Assembler.
+func NewAssembler() *Assembler {
+	return &Assembler{memo: make(map[string]*asmLine)}
+}
+
+// Assemble assembles lines at the given base address.
+func (a *Assembler) Assemble(base uint64, lines []string) (*Program, error) {
 	labels := make(map[string]uint64)
-	pc := base
-	type item struct {
-		no    int
-		mnem  string
-		args  []string
-		addr  uint64
-		words int
+	end, err := a.layout(base, lines, labels)
+	if err != nil {
+		return nil, err
 	}
-	items := make([]item, 0, len(lines))
-	for _, ln := range lines {
-		text := ln.text
-		for {
-			colon := strings.Index(text, ":")
-			if colon < 0 {
-				break
-			}
-			name := strings.TrimSpace(text[:colon])
-			if !isIdent(name) {
-				return nil, fmt.Errorf("asm:%d: bad label %q", ln.no, name)
-			}
-			if _, dup := labels[name]; dup {
-				return nil, fmt.Errorf("asm:%d: duplicate label %q", ln.no, name)
-			}
-			labels[name] = pc
-			text = strings.TrimSpace(text[colon+1:])
-		}
-		if text == "" {
-			continue
-		}
-		mnem, args := splitInst(text)
-		n, err := instWords(mnem, args)
-		if err != nil {
-			return nil, fmt.Errorf("asm:%d: %v", ln.no, err)
-		}
-		items = append(items, item{ln.no, mnem, args, pc, n})
-		pc += uint64(n) * 4
+	words, err := a.encode(make([]uint32, 0, (end-base)/4), labels)
+	if err != nil {
+		return nil, err
 	}
-
-	// Pass 2: encode.
-	p := &Program{Base: base, Labels: labels}
-	p.Words = make([]uint32, 0, (pc-base)/4)
-	for _, it := range items {
-		// Fast path for padding: generated stimuli are dominated by
-		// alignment nops, which always encode to the same word.
-		if it.mnem == "nop" && len(it.args) == 0 {
-			p.Words = append(p.Words, nopWord)
-			continue
-		}
-		insts, err := encodeInst(it.mnem, it.args, it.addr, labels)
-		if err != nil {
-			return nil, fmt.Errorf("asm:%d: %v", it.no, err)
-		}
-		ws, err := instsToWords(insts)
-		if err != nil {
-			return nil, fmt.Errorf("asm:%d: %v", it.no, err)
-		}
-		if len(ws) != it.words {
-			return nil, fmt.Errorf("asm:%d: internal size mismatch for %s (%d != %d)", it.no, it.mnem, len(ws), it.words)
-		}
-		p.Words = append(p.Words, ws...)
-	}
+	p := &Program{Base: base, Words: words, Labels: labels}
 	p.bytes = p.renderBytes()
 	return p, nil
+}
+
+// Count returns the number of words lines assemble to at base, failing
+// exactly where Assemble would, without building a Program.
+func (a *Assembler) Count(base uint64, lines []string) (int, error) {
+	if a.countLabels == nil {
+		a.countLabels = make(map[string]uint64)
+	}
+	clear(a.countLabels)
+	if _, err := a.layout(base, lines, a.countLabels); err != nil {
+		return 0, err
+	}
+	words, err := a.encode(a.countWords[:0], a.countLabels)
+	if err != nil {
+		return 0, err
+	}
+	a.countWords = words
+	return len(words), nil
+}
+
+// layout is the first pass: it places every instruction of lines into
+// a.items, records labels, and returns the end address.
+func (a *Assembler) layout(base uint64, lines []string, labels map[string]uint64) (uint64, error) {
+	if cap(a.items) < len(lines) {
+		a.items = make([]asmItem, 0, len(lines))
+	}
+	if cap(a.fresh) < len(lines) {
+		a.fresh = make([]asmLine, 0, len(lines))
+	}
+	items := a.items[:0]
+	a.fresh = a.fresh[:0]
+	pc := base
+	for i, raw := range lines {
+		no := i + 1
+		var ln *asmLine
+		if raw == "nop" {
+			ln = nopLine
+		} else if ln = a.memo[raw]; ln == nil {
+			var err error
+			if ln, err = a.parse(raw, no, pc, labels); err != nil {
+				a.items = items
+				return 0, err
+			}
+		}
+		if ln.mnem == "" {
+			continue
+		}
+		items = append(items, asmItem{ln, no, pc})
+		pc += uint64(ln.words) * 4
+	}
+	a.items = items
+	return pc, nil
+}
+
+// parse parses source line no, which is not in the memo and starts at pc,
+// defining the labels it carries. A memoising Assembler records a
+// label-free line in the memo; every other parse goes to a.fresh.
+func (a *Assembler) parse(raw string, no int, pc uint64, labels map[string]uint64) (*asmLine, error) {
+	text := stripLine(raw)
+	labelled := strings.IndexByte(text, ':') >= 0
+	if labelled {
+		var err error
+		if text, err = defineLabels(text, no, pc, labels); err != nil {
+			return nil, err
+		}
+	}
+	ln, err := parseInst(text)
+	if err != nil {
+		return nil, fmt.Errorf("asm:%d: %v", no, err)
+	}
+	if a.memo != nil && !labelled {
+		return a.remember(raw, ln), nil
+	}
+	a.fresh = append(a.fresh, ln)
+	return &a.fresh[len(a.fresh)-1], nil
+}
+
+// stripLine removes a line's comment and surrounding space.
+func stripLine(text string) string {
+	// Two IndexByte scans beat IndexAny's rune loop on this hot path.
+	if i := strings.IndexByte(text, '#'); i >= 0 {
+		text = text[:i]
+	}
+	if i := strings.IndexByte(text, ';'); i >= 0 {
+		text = text[:i]
+	}
+	return strings.TrimSpace(text)
+}
+
+// defineLabels defines the labels leading text at pc and returns the rest
+// of the line.
+func defineLabels(text string, no int, pc uint64, labels map[string]uint64) (string, error) {
+	for {
+		colon := strings.Index(text, ":")
+		if colon < 0 {
+			return text, nil
+		}
+		name := strings.TrimSpace(text[:colon])
+		if !isIdent(name) {
+			return "", fmt.Errorf("asm:%d: bad label %q", no, name)
+		}
+		if _, dup := labels[name]; dup {
+			return "", fmt.Errorf("asm:%d: duplicate label %q", no, name)
+		}
+		labels[name] = pc
+		text = strings.TrimSpace(text[colon+1:])
+	}
+}
+
+// parseInst parses one stripped, label-free instruction line.
+func parseInst(text string) (asmLine, error) {
+	if text == "" {
+		return asmLine{}, nil
+	}
+	mnem, args := splitInst(text)
+	n, err := instWords(mnem, args)
+	if err != nil {
+		return asmLine{}, err
+	}
+	return asmLine{mnem: mnem, args: args, words: n}, nil
+}
+
+// remember records a label-free line's parse in the memo, with its encoded
+// words when they depend on neither the pc nor labels.
+func (a *Assembler) remember(raw string, ln asmLine) *asmLine {
+	if ln.mnem != "" && !posDependent(ln.mnem) {
+		// An encoding error is left to the encode pass, which reports it
+		// at its line and after every first-pass error, as Asm does.
+		if enc, err := a.encodeLine(nil, &ln, 0, nil); err == nil {
+			ln.enc = enc
+		}
+	}
+	if len(a.memo) >= memoCap {
+		clear(a.memo)
+	}
+	e := &ln
+	a.memo[strings.Clone(raw)] = e
+	return e
+}
+
+// posDependent reports whether a mnemonic's encoding reads the pc or labels.
+// A new mnemonic that does must be added here, or the memo will replay the
+// encoding from its first address.
+func posDependent(mnem string) bool {
+	switch mnem {
+	case "la", "j", "call", "beqz", "bnez":
+		return true
+	}
+	if op, ok := simpleMnems[mnem]; ok {
+		c := op.Class()
+		return c == ClassBranch || c == ClassJump
+	}
+	return false
+}
+
+// encode is the second pass: it appends the words of a.items to dst.
+func (a *Assembler) encode(dst []uint32, labels map[string]uint64) ([]uint32, error) {
+	for i := range a.items {
+		it := &a.items[i]
+		switch {
+		case it.enc != nil:
+			dst = append(dst, it.enc...)
+		default:
+			var err error
+			if dst, err = a.encodeLine(dst, it.asmLine, it.addr, labels); err != nil {
+				return nil, fmt.Errorf("asm:%d: %v", it.no, err)
+			}
+		}
+	}
+	return dst, nil
+}
+
+// encodeLine appends the words of one parsed line, placed at pc, to dst.
+func (a *Assembler) encodeLine(dst []uint32, ln *asmLine, pc uint64, labels map[string]uint64) ([]uint32, error) {
+	insts, err := encodeInst(a.insts[:0], ln.mnem, ln.args, pc, labels)
+	if err != nil {
+		return nil, err
+	}
+	a.insts = insts
+	n := len(dst)
+	if dst, err = appendWords(dst, insts); err != nil {
+		return nil, err
+	}
+	if len(dst)-n != ln.words {
+		return nil, fmt.Errorf("internal size mismatch for %s (%d != %d)", ln.mnem, len(dst)-n, ln.words)
+	}
+	return dst, nil
 }
 
 // nopWord is the canonical encoding of nop (addi x0, x0, 0).
@@ -223,10 +393,8 @@ func liWords(v int64) int {
 	return len(liSeqInto(buf[:0], 0, v))
 }
 
-// liSeq produces the materialisation sequence for an arbitrary 64-bit value.
-func liSeq(rd int, v int64) []Inst { return liSeqInto(nil, rd, v) }
-
-// liSeqInto appends the materialisation sequence to dst.
+// liSeqInto appends the materialisation sequence for an arbitrary 64-bit
+// value to dst.
 func liSeqInto(dst []Inst, rd int, v int64) []Inst {
 	if v >= -2048 && v < 2048 {
 		return append(dst, Inst{Op: OpAddi, Rd: rd, Rs1: 0, Imm: v})
@@ -359,14 +527,14 @@ func branchTarget(arg string, pc uint64, labels map[string]uint64) (int64, error
 	return v, nil // raw immediates are already pc-relative offsets
 }
 
-func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64) ([]Inst, error) {
+func encodeInst(dst []Inst, mnem string, args []string, pc uint64, labels map[string]uint64) ([]Inst, error) {
 	need := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("%s needs %d operands, got %d", mnem, n, len(args))
 		}
 		return nil
 	}
-	one := func(i Inst) []Inst { return []Inst{i} }
+	one := func(i Inst) []Inst { return append(dst, i) }
 
 	switch mnem {
 	case "nop":
@@ -447,7 +615,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		if err != nil {
 			return nil, err
 		}
-		return liSeq(rd, v), nil
+		return liSeqInto(dst, rd, v), nil
 	case "la":
 		if err := need(2); err != nil {
 			return nil, err
@@ -463,10 +631,10 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		delta := target - int64(pc)
 		lo := delta << 52 >> 52
 		hi := delta - lo
-		return []Inst{
-			{Op: OpAuipc, Rd: rd, Imm: hi},
-			{Op: OpAddi, Rd: rd, Rs1: rd, Imm: lo},
-		}, nil
+		return append(dst,
+			Inst{Op: OpAuipc, Rd: rd, Imm: hi},
+			Inst{Op: OpAddi, Rd: rd, Rs1: rd, Imm: lo},
+		), nil
 	case "j":
 		if err := need(1); err != nil {
 			return nil, err
@@ -498,10 +666,10 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		delta := target - int64(pc)
 		lo := delta << 52 >> 52
 		hi := delta - lo
-		return []Inst{
-			{Op: OpAuipc, Rd: RegT2, Imm: hi},
-			{Op: OpJalr, Rd: RegRA, Rs1: RegT2, Imm: lo},
-		}, nil
+		return append(dst,
+			Inst{Op: OpAuipc, Rd: RegT2, Imm: hi},
+			Inst{Op: OpJalr, Rd: RegRA, Rs1: RegT2, Imm: lo},
+		), nil
 	case "beqz":
 		if err := need(2); err != nil {
 			return nil, err
@@ -562,7 +730,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{{Op: op, Rd: rd, Imm: imm << 12}}, nil
+		return append(dst, Inst{Op: op, Rd: rd, Imm: imm << 12}), nil
 	}
 	switch op.Class() {
 	case ClassBranch:
@@ -581,7 +749,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}}, nil
+		return append(dst, Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}), nil
 	case ClassJump:
 		// jal [rd,] target
 		if len(args) != 1 && len(args) != 2 {
@@ -601,7 +769,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{{Op: op, Rd: rd, Imm: off}}, nil
+		return append(dst, Inst{Op: op, Rd: rd, Imm: off}), nil
 	case ClassJumpReg:
 		// jalr rd, imm(rs1) | jalr rd, rs1, imm | jalr rs1
 		switch len(args) {
@@ -610,7 +778,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: RegRA, Rs1: rs}}, nil
+			return append(dst, Inst{Op: op, Rd: RegRA, Rs1: rs}), nil
 		case 2:
 			rd, err := reg(args[0])
 			if err != nil {
@@ -620,7 +788,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: off}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off}), nil
 		case 3:
 			rd, err := reg(args[0])
 			if err != nil {
@@ -634,7 +802,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: imm}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm}), nil
 		}
 		return nil, fmt.Errorf("jalr: bad operands")
 	case ClassLoad:
@@ -655,7 +823,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: off}}, nil
+		return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Imm: off}), nil
 	case ClassStore:
 		if err := need(2); err != nil {
 			return nil, err
@@ -674,11 +842,11 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}}, nil
+		return append(dst, Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}), nil
 	case ClassSystem:
 		switch op {
 		case OpEcall, OpEbreak, OpMret, OpFence:
-			return []Inst{{Op: op}}, nil
+			return append(dst, Inst{Op: op}), nil
 		case OpCsrrw, OpCsrrs, OpCsrrc:
 			if err := need(3); err != nil {
 				return nil, err
@@ -695,7 +863,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: csr}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Imm: csr}), nil
 		}
 	case ClassFPU, ClassFDiv:
 		switch op {
@@ -711,7 +879,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs}), nil
 		case OpFmvDX:
 			if err := need(2); err != nil {
 				return nil, err
@@ -724,7 +892,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs}), nil
 		default:
 			if err := need(3); err != nil {
 				return nil, err
@@ -741,7 +909,7 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 			if err != nil {
 				return nil, err
 			}
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}), nil
 		}
 	}
 	// Generic R/I formats.
@@ -757,13 +925,13 @@ func encodeInst(mnem string, args []string, pc uint64, labels map[string]uint64)
 		// Probe the register form without reg()'s error allocation — this
 		// branch is taken (and fails) for every immediate-form instruction.
 		if rs2 := RegNum(args[2]); rs2 >= 0 {
-			return []Inst{{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
+			return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}), nil
 		}
 		imm, err := parseImm(args[2])
 		if err != nil {
 			return nil, err
 		}
-		return []Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: imm}}, nil
+		return append(dst, Inst{Op: op, Rd: rd, Rs1: rs1, Imm: imm}), nil
 	}
 	return nil, fmt.Errorf("%s: bad operands %v", mnem, args)
 }
@@ -776,23 +944,19 @@ func rawInst(w uint32) Inst {
 	return d
 }
 
-// assemble list of Insts into words is shared by encodeInst callers.
-func instsToWords(insts []Inst) ([]uint32, error) {
-	out := make([]uint32, 0, len(insts))
+// appendWords appends the encodings of insts to dst.
+func appendWords(dst []uint32, insts []Inst) ([]uint32, error) {
 	for _, in := range insts {
-		if in.Raw != 0 && in.Op == OpInvalid {
-			out = append(out, in.Raw)
-			continue
-		}
 		if in.Op == OpInvalid {
-			out = append(out, in.Raw)
+			// Raw data (.word/.illegal) carries its own word.
+			dst = append(dst, in.Raw)
 			continue
 		}
 		w, err := Encode(in)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, w)
+		dst = append(dst, w)
 	}
-	return out, nil
+	return dst, nil
 }

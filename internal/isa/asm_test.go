@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -134,16 +137,40 @@ func TestLiMaterialisation(t *testing.T) {
 		return regs[5]
 	}
 	check := func(v int64) bool {
-		return exec(liSeq(5, v)) == uint64(v)
+		return exec(liSeqInto(nil, 5, v)) == uint64(v)
 	}
 	for _, v := range []int64{0, 1, -1, 2047, -2048, 2048, 0x7fffffff, -0x80000000,
 		0x80000000, 0x123456789abcdef0 & ^int64(0), -0x123456789abcdef0,
 		int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1} {
 		if !check(v) {
-			t.Errorf("li %#x materialises to %#x", v, exec(liSeq(5, v)))
+			t.Errorf("li %#x materialises to %#x", v, exec(liSeqInto(nil, 5, v)))
 		}
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAssemblerMemoCap checks that an Assembler's memo is cleared instead
+// of growing past memoCap lines, and that assembly stays exact across the
+// clear (programs are assembled from lines the memo held before it).
+func TestAssemblerMemoCap(t *testing.T) {
+	a := NewAssembler()
+	for chunk := 0; chunk < 4; chunk++ {
+		lines := []string{"loop:"}
+		for i := 0; i < 1500; i++ {
+			lines = append(lines, fmt.Sprintf("li t0, %d", (chunk%3)*1500+i), "j loop")
+		}
+		got, err := a.Assemble(0x1000, lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := MustAsm(0x1000, strings.Join(lines, "\n"))
+		if !slices.Equal(got.Words, want.Words) {
+			t.Fatalf("chunk %d: memoised words differ from one-shot Asm", chunk)
+		}
+		if len(a.memo) > memoCap {
+			t.Fatalf("chunk %d: memo holds %d lines, cap %d", chunk, len(a.memo), memoCap)
+		}
 	}
 }

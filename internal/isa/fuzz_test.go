@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"bytes"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,4 +115,73 @@ func TestAsmDisasmSeedCorpus(t *testing.T) {
 			t.Fatalf("round-trip drift for %q: %+v vs %+v", text, want, got)
 		}
 	}
+}
+
+// FuzzAssemblerMemo checks that one reused, memoising Assembler assembles
+// every program of a sequence exactly as a fresh one-shot Asm does: the
+// same words, labels and bytes, or the same error. Programs are separated
+// by '|'; program k is assembled at fuzzBase+4k, twice (a cold and a warm
+// memo), and counted. The seeds put pc-relative lines at different
+// addresses and make a token a label in one program and an immediate in
+// the next.
+func FuzzAssemblerMemo(f *testing.F) {
+	seeds := []string{
+		"j 8\nnop\necall|nop\nj 8\necall|nop\nnop\nj 8",
+		"beq zero, zero, L\nL:\nnop|nop\nbeq zero, zero, L\nnop\nL:\necall",
+		"bnez t0, 12\nbeqz t1, -4|nop\nbnez t0, 12\nbeqz t1, -4",
+		"L:\nli t0, 5\nj L|li t0, L|li t0, 5\nL: j L",
+		"addi t0, t1, L\nL:|addi t0, t1, 4|L: addi t0, t1, L",
+		"jal ra, f\nf:\nret|nop\njal ra, f\nnop\nf:\nret|jal ra, 8",
+		"call f\nnop\nf:\nret|nop\ncall f\nf:\nret|call 0x80000100",
+		"la t0, x\nx:|nop\nla t0, x\nnop\nx:|la t0, 0x80000010",
+		"x: nop\nbnez t0, x|bnez t0, x\nx:|x: y: nop\nj y",
+		"bogus|nop\nbogus t0|li t0, 0x123456789",
+		"addi t0, t1, 0xzz\nfoo|addi t0, t1, 0xzz|ld t0, 8(zz)",
+		"nop # c\n; x\n\n  nop  |nop # c|NOP\nAddi t0, t0, 1",
+		"1bad: nop|dup:\ndup:|dup:",
+		".word 0xdeadbeef\n.illegal|.word lbl\nlbl:|.word 7",
+		"li a0, 0x8000000000000000\nli t1, -1|li a0, 0x8000000000000000",
+		"csrrw t0, 0x300, t1\nfld fa0, 0(t0)|fmv.d fa0, fa1\nfdiv.d fa1, fa0, fa0",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+
+	f.Fuzz(func(t *testing.T, progs string) {
+		a := NewAssembler()
+		for k, src := range strings.Split(progs, "|") {
+			base := fuzzBase + 4*uint64(k)
+			lines := strings.Split(src, "\n")
+			want, wantErr := Asm(base, src)
+			for pass := 0; pass < 2; pass++ {
+				got, gotErr := a.Assemble(base, lines)
+				if errText(gotErr) != errText(wantErr) {
+					t.Fatalf("program %d %q pass %d: error %q, one-shot %q", k, src, pass, errText(gotErr), errText(wantErr))
+				}
+				n, countErr := a.Count(base, lines)
+				if errText(countErr) != errText(wantErr) {
+					t.Fatalf("program %d %q pass %d: Count error %q, one-shot %q", k, src, pass, errText(countErr), errText(wantErr))
+				}
+				if wantErr != nil {
+					continue
+				}
+				if !slices.Equal(got.Words, want.Words) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("program %d %q pass %d: words %x, one-shot %x", k, src, pass, got.Words, want.Words)
+				}
+				if !maps.Equal(got.Labels, want.Labels) || got.Base != want.Base {
+					t.Fatalf("program %d %q pass %d: labels %v at %#x, one-shot %v at %#x", k, src, pass, got.Labels, got.Base, want.Labels, want.Base)
+				}
+				if n != len(want.Words) {
+					t.Fatalf("program %d %q pass %d: Count %d, one-shot %d words", k, src, pass, n, len(want.Words))
+				}
+			}
+		}
+	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
 }
