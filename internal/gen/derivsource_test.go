@@ -100,3 +100,22 @@ func TestDerivationSourceEpochWrap(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratorRNGMatchesMathRand checks that the generator's own RNG, now
+// backed by derivSource, draws what rand.New(rand.NewSource(seed)) draws,
+// both from New and after a Reseed, well past the 607-entry register so
+// every entry is built and then fed back.
+func TestGeneratorRNGMatchesMathRand(t *testing.T) {
+	g := New(42)
+	for _, seed := range []int64{42, EpochShardSeed(7919, 3, 1), -1, 0} {
+		if seed != 42 {
+			g.Reseed(seed)
+		}
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			if x, y := g.rng.Int63(), want.Int63(); x != y {
+				t.Fatalf("seed %d: draw %d = %d, want %d", seed, i, x, y)
+			}
+		}
+	}
+}

@@ -136,7 +136,10 @@ func ScenarioName(s Seed) string {
 // stimulus building allocation-light; those buffers make a Generator
 // single-goroutine (campaign shards each own one).
 type Generator struct {
+	// rng draws seeds and mutations. Its source is an output-identical
+	// derivSource, so the per-epoch Reseed is O(1).
 	rng *rand.Rand
+	src derivSource
 
 	// scenarios is the enabled family set mutation's swap-scenario operator
 	// draws from (sorted; nil selects every registered family, whose sorted
@@ -171,7 +174,10 @@ type Generator struct {
 
 // New returns a generator with the given RNG seed.
 func New(seed int64) *Generator {
-	return &Generator{rng: rand.New(rand.NewSource(seed)), asm: isa.NewAssembler()}
+	g := &Generator{asm: isa.NewAssembler()}
+	g.rng = rand.New(&g.src)
+	g.rng.Seed(seed)
+	return g
 }
 
 // Reseed returns the generator's RNG to the state New(seed) produces,

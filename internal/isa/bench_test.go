@@ -43,3 +43,37 @@ func BenchmarkAsm(b *testing.B) {
 		}
 	})
 }
+
+// decodeWords returns one encoded word per encodable op plus, for every
+// opcode with a funct3 or funct7 table, a word that hits one of its holes:
+// every opcode class Decode distinguishes, valid and invalid.
+func decodeWords(tb testing.TB) []uint32 {
+	tb.Helper()
+	var ws []uint32
+	for op := OpInvalid + 1; op < opCount; op++ {
+		w, err := Encode(Inst{Op: op, Rd: 5, Rs1: 6, Rs2: 7, Imm: 16})
+		if err != nil {
+			tb.Fatalf("encode %v: %v", op, err)
+		}
+		ws = append(ws, w)
+	}
+	for _, opc := range []uint32{opcLoad, opcStore, opcBranch, opcReg, opcReg32, opcImm32, opcFP, opcJalr} {
+		for f3 := uint32(0); f3 < 8; f3++ {
+			for _, f7 := range []uint32{0x00, 0x01, 0x20, 0x7f} {
+				ws = append(ws, f7<<25|7<<20|6<<15|f3<<12|5<<7|opc)
+			}
+		}
+	}
+	return append(ws, IllegalWord, 0xffffffff)
+}
+
+// BenchmarkDecode measures decoding every opcode class once per iteration.
+func BenchmarkDecode(b *testing.B) {
+	ws := decodeWords(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, w := range ws {
+			_ = Decode(w)
+		}
+	}
+}

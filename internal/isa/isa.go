@@ -409,6 +409,25 @@ func signExt(v uint64, bits uint) int64 {
 	return int64(v<<shift) >> shift
 }
 
+// Decode tables indexed by funct3; OpInvalid (the zero Op) marks a hole.
+// The register-register tables have one row per funct7 in use: 0x00,
+// 0x01 (M extension) and 0x20 (sub/sra).
+var (
+	branchOps = [8]Op{0: OpBeq, 1: OpBne, 4: OpBlt, 5: OpBge, 6: OpBltu, 7: OpBgeu}
+	loadOps   = [8]Op{0: OpLb, 1: OpLh, 2: OpLw, 3: OpLd, 4: OpLbu, 5: OpLhu, 6: OpLwu}
+	storeOps  = [8]Op{0: OpSb, 1: OpSh, 2: OpSw, 3: OpSd}
+	regOps    = [3][8]Op{
+		{OpAdd, OpSll, OpSlt, OpSltu, OpXor, OpSrl, OpOr, OpAnd},
+		{OpMul, OpMulh, OpMulhsu, OpMulhu, OpDiv, OpDivu, OpRem, OpRemu},
+		{0: OpSub, 5: OpSra},
+	}
+	reg32Ops = [3][8]Op{
+		{0: OpAddw, 1: OpSllw, 5: OpSrlw},
+		{0: OpMulw, 4: OpDivw, 5: OpDivuw, 6: OpRemw, 7: OpRemuw},
+		{0: OpSubw, 5: OpSraw},
+	}
+)
+
 // Decode decodes a 32-bit instruction word. Undecodable words return an
 // Inst with Op == OpInvalid (illegal instruction).
 func Decode(raw uint32) Inst {
@@ -441,13 +460,11 @@ func Decode(raw uint32) Inst {
 			return set(OpJalr, rd, rs1, 0, immI)
 		}
 	case opcBranch:
-		ops := map[uint32]Op{0: OpBeq, 1: OpBne, 4: OpBlt, 5: OpBge, 6: OpBltu, 7: OpBgeu}
-		if op, ok := ops[f3]; ok {
+		if op := branchOps[f3]; op != OpInvalid {
 			return set(op, 0, rs1, rs2, immB)
 		}
 	case opcLoad:
-		ops := map[uint32]Op{0: OpLb, 1: OpLh, 2: OpLw, 3: OpLd, 4: OpLbu, 5: OpLhu, 6: OpLwu}
-		if op, ok := ops[f3]; ok {
+		if op := loadOps[f3]; op != OpInvalid {
 			return set(op, rd, rs1, 0, immI)
 		}
 	case opcLoadFP:
@@ -455,8 +472,7 @@ func Decode(raw uint32) Inst {
 			return set(OpFld, rd, rs1, 0, immI)
 		}
 	case opcStore:
-		ops := map[uint32]Op{0: OpSb, 1: OpSh, 2: OpSw, 3: OpSd}
-		if op, ok := ops[f3]; ok {
+		if op := storeOps[f3]; op != OpInvalid {
 			return set(op, 0, rs1, rs2, immS)
 		}
 	case opcStFP:
@@ -505,24 +521,21 @@ func Decode(raw uint32) Inst {
 				return set(OpSraiw, rd, rs1, 0, int64(rs2))
 			}
 		}
-	case opcReg:
-		key := f7<<3 | f3
-		ops := map[uint32]Op{
-			0x000: OpAdd, 0x100: OpSub, 0x001: OpSll, 0x002: OpSlt, 0x003: OpSltu,
-			0x004: OpXor, 0x005: OpSrl, 0x105: OpSra, 0x006: OpOr, 0x007: OpAnd,
-			0x008: OpMul, 0x009: OpMulh, 0x00a: OpMulhsu, 0x00b: OpMulhu,
-			0x00c: OpDiv, 0x00d: OpDivu, 0x00e: OpRem, 0x00f: OpRemu,
+	case opcReg, opcReg32:
+		t := &regOps
+		if opc == opcReg32 {
+			t = &reg32Ops
 		}
-		if op, ok := ops[key]; ok {
-			return set(op, rd, rs1, rs2, 0)
+		var op Op
+		switch f7 {
+		case 0x00:
+			op = t[0][f3]
+		case 0x01:
+			op = t[1][f3]
+		case 0x20:
+			op = t[2][f3]
 		}
-	case opcReg32:
-		key := f7<<3 | f3
-		ops := map[uint32]Op{
-			0x000: OpAddw, 0x100: OpSubw, 0x001: OpSllw, 0x005: OpSrlw, 0x105: OpSraw,
-			0x008: OpMulw, 0x00c: OpDivw, 0x00d: OpDivuw, 0x00e: OpRemw, 0x00f: OpRemuw,
-		}
-		if op, ok := ops[key]; ok {
+		if op != OpInvalid {
 			return set(op, rd, rs1, rs2, 0)
 		}
 	case opcFP:

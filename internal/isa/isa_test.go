@@ -123,3 +123,16 @@ func TestRegNames(t *testing.T) {
 		t.Fatal("register naming broken")
 	}
 }
+
+// TestDecodeNoAlloc requires Decode, which sits on the fetch path of both
+// simulators, to allocate nothing for any opcode class, valid or invalid.
+func TestDecodeNoAlloc(t *testing.T) {
+	ws := decodeWords(t)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, w := range ws {
+			_ = Decode(w)
+		}
+	}); n != 0 {
+		t.Fatalf("Decode allocates %v times per pass over %d words", n, len(ws))
+	}
+}

@@ -5,12 +5,17 @@
 // access permissions and a fault kind so that the same load can raise either
 // an access fault (PMP-style) or a page fault (translation-style), which the
 // stimulus generator uses to pick the transient-window trigger type.
+//
+// Every writer marks the BlockSize-byte blocks it touches in a per-region
+// dirty bitmap (one for data bytes, one for the taint shadow), so Reset
+// clears only what was written since the last reset instead of the whole
+// space.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // Perm is a permission bit set for a region.
@@ -82,25 +87,44 @@ func (r *Region) Contains(addr uint64) bool {
 	return addr >= r.Base && addr < r.Base+r.Size
 }
 
+// BlockSize is the granularity, in bytes, at which writes are tracked for
+// Reset and ZeroBytes. Blocks are aligned to their region's base.
+const BlockSize = 1 << blockShift
+
+const blockShift = 8
+
+// region is one region's record: its public descriptor, backing store,
+// construction-time permission and dirty bitmaps. A clear bit in dirtyB
+// (dirtyT) guarantees that block's bytes (taint) are all zero; a set bit
+// means the block may have been written since it was last cleared.
+type region struct {
+	Region
+	bytes    []byte
+	taint    []byte // taint shadow, one mask bit per data bit
+	initPerm Perm   // restored by Reset, undoing SetPerm
+	dirtyB   []uint64
+	dirtyT   []uint64
+}
+
 // Space is a byte-addressable physical memory with permission regions.
 // The zero value is unusable; construct with NewSpace.
 type Space struct {
-	regions []*Region
-	bytes   map[uint64][]byte // base -> backing bytes, one entry per region
-	taint   map[uint64][]byte // parallel taint shadow (bit per data bit)
-	// initPerm remembers each region's construction-time permission so Reset
-	// can undo SetPerm mutations (base -> original perm).
-	initPerm map[uint64]Perm
+	regions []*region // sorted by base
+	// index maps each granule of [lo, lo+len(index)<<shift) to 1 + its
+	// region's position in regions (0: unmapped). A granule is the largest
+	// power of two dividing every region's base and size, so none straddles
+	// a region edge. index is nil when the layout is too sparse for a
+	// table; find then scans regions.
+	index []uint8
+	lo    uint64
+	shift uint
 }
 
+// maxIndex bounds the lookup table; a sparser layout is scanned instead.
+const maxIndex = 1 << 16
+
 // NewSpace returns an empty space.
-func NewSpace() *Space {
-	return &Space{
-		bytes:    make(map[uint64][]byte),
-		taint:    make(map[uint64][]byte),
-		initPerm: make(map[uint64]Perm),
-	}
-}
+func NewSpace() *Space { return &Space{} }
 
 // AddRegion registers a new region and allocates its backing store.
 // Regions must not overlap.
@@ -113,32 +137,116 @@ func (s *Space) AddRegion(r Region) (*Region, error) {
 			return nil, fmt.Errorf("mem: region %q overlaps %q", r.Name, old.Name)
 		}
 	}
-	reg := r
-	s.regions = append(s.regions, &reg)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Base < s.regions[j].Base })
-	s.bytes[reg.Base] = make([]byte, reg.Size)
-	s.taint[reg.Base] = make([]byte, reg.Size)
-	s.initPerm[reg.Base] = reg.Perm
-	return &reg, nil
+	words := ((r.Size+BlockSize-1)>>blockShift + 63) / 64
+	rec := &region{
+		Region:   r,
+		bytes:    make([]byte, r.Size),
+		taint:    make([]byte, r.Size),
+		initPerm: r.Perm,
+		dirtyB:   make([]uint64, words),
+		dirtyT:   make([]uint64, words),
+	}
+	i := len(s.regions)
+	for i > 0 && s.regions[i-1].Base > r.Base {
+		i--
+	}
+	s.regions = append(s.regions, nil)
+	copy(s.regions[i+1:], s.regions[i:])
+	s.regions[i] = rec
+	s.buildIndex()
+	return &rec.Region, nil
+}
+
+// buildIndex rebuilds the granule lookup table for the current layout.
+func (s *Space) buildIndex() {
+	s.index = nil
+	first, last := s.regions[0], s.regions[len(s.regions)-1]
+	var align uint64
+	for _, r := range s.regions {
+		align |= r.Base | r.Size
+	}
+	shift := uint(bits.TrailingZeros64(align))
+	n := (last.Base + last.Size - first.Base) >> shift
+	if len(s.regions) > 255 || n > maxIndex {
+		return
+	}
+	idx := make([]uint8, n)
+	for i, r := range s.regions {
+		for g := (r.Base - first.Base) >> shift; g < (r.Base+r.Size-first.Base)>>shift; g++ {
+			idx[g] = uint8(i + 1)
+		}
+	}
+	s.index, s.lo, s.shift = idx, first.Base, shift
+}
+
+// mark sets the dirty bits of every block overlapping [off, off+n).
+func mark(bm []uint64, off, n uint64) {
+	if n == 0 {
+		return
+	}
+	for b, last := off>>blockShift, (off+n-1)>>blockShift; b <= last; b++ {
+		bm[b>>6] |= 1 << (b & 63)
+	}
+}
+
+// clearDirty zeroes every dirty block of buf, one clear per run of
+// adjacent dirty blocks, and then clears the bitmap.
+func clearDirty(buf []byte, bm []uint64) {
+	n := (len(buf) + BlockSize - 1) >> blockShift
+	for b := 0; b < n; {
+		w := bm[b>>6] >> (b & 63)
+		if w == 0 {
+			b = (b | 63) + 1
+			continue
+		}
+		b += bits.TrailingZeros64(w)
+		e := b + 1
+		for e < n && bm[e>>6]&(1<<(e&63)) != 0 {
+			e++
+		}
+		clear(buf[b<<blockShift : min(e<<blockShift, len(buf))])
+		b = e
+	}
+	clear(bm)
 }
 
 // Reset returns the space to its construction-time state without
-// reallocating: every region's bytes and taint shadow are zeroed in place
-// and its permissions restored to the values it was added with. A reset
-// space is indistinguishable from a freshly built one with the same region
-// layout — the property the execution-context reuse in internal/core relies
-// on.
+// reallocating: the dirty blocks of every region's bytes and taint shadow
+// are zeroed in place and its permissions restored to the values it was
+// added with. A reset space is indistinguishable from a freshly built one
+// with the same region layout — the property the execution-context reuse in
+// internal/core relies on. Reset is exact only because every writer marks
+// the blocks it touches; RegionBytes is read-only for that reason.
 func (s *Space) Reset() {
 	for _, r := range s.regions {
-		b := s.bytes[r.Base]
-		for i := range b {
-			b[i] = 0
+		clearDirty(r.bytes, r.dirtyB)
+		clearDirty(r.taint, r.dirtyT)
+		r.Perm = r.initPerm
+	}
+}
+
+// ZeroBytes zeroes the data bytes of [addr, addr+n), leaving their taint
+// untouched. Unmapped bytes are skipped. Only dirty blocks are cleared, and
+// blocks the range covers entirely become clean.
+func (s *Space) ZeroBytes(addr uint64, n int) {
+	end := addr + uint64(n)
+	for _, r := range s.regions {
+		lo, hi := max(addr, r.Base), min(end, r.Base+r.Size)
+		if lo >= hi {
+			continue
 		}
-		t := s.taint[r.Base]
-		for i := range t {
-			t[i] = 0
+		lo, hi = lo-r.Base, hi-r.Base
+		for b := lo >> blockShift; b<<blockShift < hi; b++ {
+			bit := uint64(1) << (b & 63)
+			if r.dirtyB[b>>6]&bit == 0 {
+				continue
+			}
+			bs, be := b<<blockShift, min((b+1)<<blockShift, r.Size)
+			clear(r.bytes[max(bs, lo):min(be, hi)])
+			if lo <= bs && be <= hi {
+				r.dirtyB[b>>6] &^= bit
+			}
 		}
-		r.Perm = s.initPerm[r.Base]
 	}
 }
 
@@ -151,19 +259,53 @@ func (s *Space) MustAddRegion(r Region) *Region {
 	return reg
 }
 
+// find returns the record of the region containing addr, or nil.
+func (s *Space) find(addr uint64) *region {
+	if s.index != nil {
+		if g := (addr - s.lo) >> s.shift; g < uint64(len(s.index)) && s.index[g] != 0 {
+			return s.regions[s.index[g]-1]
+		}
+		return nil
+	}
+	for _, r := range s.regions {
+		if addr-r.Base < r.Size {
+			return r
+		}
+	}
+	return nil
+}
+
+// span returns the record of the region holding all of [addr, addr+size)
+// and addr's offset in it, or nil if no single region does.
+func (s *Space) span(addr uint64, size int) (*region, uint64) {
+	r := s.find(addr)
+	if r == nil {
+		return nil, 0
+	}
+	off := addr - r.Base
+	if off+uint64(size) > r.Size {
+		return nil, 0
+	}
+	return r, off
+}
+
 // Region returns the region containing addr, or nil.
 func (s *Space) Region(addr uint64) *Region {
-	i := sort.Search(len(s.regions), func(i int) bool {
-		return s.regions[i].Base+s.regions[i].Size > addr
-	})
-	if i < len(s.regions) && s.regions[i].Contains(addr) {
-		return s.regions[i]
+	if r := s.find(addr); r != nil {
+		return &r.Region
 	}
 	return nil
 }
 
 // RegionByName returns the region with the given name, or nil.
 func (s *Space) RegionByName(name string) *Region {
+	if r := s.byName(name); r != nil {
+		return &r.Region
+	}
+	return nil
+}
+
+func (s *Space) byName(name string) *region {
 	for _, r := range s.regions {
 		if r.Name == name {
 			return r
@@ -173,12 +315,18 @@ func (s *Space) RegionByName(name string) *Region {
 }
 
 // Regions returns all regions ordered by base address.
-func (s *Space) Regions() []*Region { return s.regions }
+func (s *Space) Regions() []*Region {
+	out := make([]*Region, len(s.regions))
+	for i, r := range s.regions {
+		out[i] = &r.Region
+	}
+	return out
+}
 
 // SetPerm atomically changes a region's permissions; this is how the swap
 // runtime revokes secret access between the training and transient phases.
 func (s *Space) SetPerm(name string, p Perm) error {
-	r := s.RegionByName(name)
+	r := s.byName(name)
 	if r == nil {
 		return fmt.Errorf("mem: no region %q", name)
 	}
@@ -205,27 +353,18 @@ func (s *Space) Check(addr uint64, size int, kind AccessKind) error {
 	return nil
 }
 
-func (s *Space) slice(addr uint64, size int) ([]byte, []byte, bool) {
-	r := s.Region(addr)
-	if r == nil || !r.Contains(addr+uint64(size)-1) {
-		return nil, nil, false
-	}
-	off := addr - r.Base
-	return s.bytes[r.Base][off : off+uint64(size)], s.taint[r.Base][off : off+uint64(size)], true
-}
-
 // ReadRaw reads without permission checks (used for cache refills and debug).
 // Unmapped bytes read as zero.
 func (s *Space) ReadRaw(addr uint64, size int) []byte {
 	out := make([]byte, size)
-	if b, _, ok := s.slice(addr, size); ok {
-		copy(out, b)
-	} else {
-		// Partial overlap: copy byte by byte.
-		for i := 0; i < size; i++ {
-			if b, _, ok := s.slice(addr+uint64(i), 1); ok {
-				out[i] = b[0]
-			}
+	if r, off := s.span(addr, size); r != nil {
+		copy(out, r.bytes[off:])
+		return out
+	}
+	// Partial overlap: copy byte by byte.
+	for i := range out {
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			out[i] = r.bytes[off]
 		}
 	}
 	return out
@@ -233,13 +372,15 @@ func (s *Space) ReadRaw(addr uint64, size int) []byte {
 
 // WriteRaw writes without permission checks. Unmapped bytes are dropped.
 func (s *Space) WriteRaw(addr uint64, data []byte) {
-	if b, _, ok := s.slice(addr, len(data)); ok {
-		copy(b, data)
+	if r, off := s.span(addr, len(data)); r != nil {
+		copy(r.bytes[off:], data)
+		mark(r.dirtyB, off, uint64(len(data)))
 		return
 	}
 	for i, v := range data {
-		if b, _, ok := s.slice(addr+uint64(i), 1); ok {
-			b[0] = v
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			r.bytes[off] = v
+			mark(r.dirtyB, off, 1)
 		}
 	}
 }
@@ -247,9 +388,9 @@ func (s *Space) WriteRaw(addr uint64, data []byte) {
 // TaintRaw reads the taint shadow of [addr, addr+size).
 func (s *Space) TaintRaw(addr uint64, size int) []byte {
 	out := make([]byte, size)
-	for i := 0; i < size; i++ {
-		if _, t, ok := s.slice(addr+uint64(i), 1); ok {
-			out[i] = t[0]
+	for i := range out {
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			out[i] = r.taint[off]
 		}
 	}
 	return out
@@ -262,8 +403,9 @@ func (s *Space) SetTaint(addr uint64, size int, tainted bool) {
 		v = 0xff
 	}
 	for i := 0; i < size; i++ {
-		if _, t, ok := s.slice(addr+uint64(i), 1); ok {
-			t[0] = v
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			r.taint[off] = v
+			mark(r.dirtyT, off, 1)
 		}
 	}
 }
@@ -272,56 +414,61 @@ func (s *Space) SetTaint(addr uint64, size int, tainted bool) {
 func (s *Space) Read64(addr uint64) (val, taint uint64) {
 	// Fast path: the word lies entirely inside one region (the overwhelmingly
 	// common case on the simulation hot path — no per-access allocation).
-	if b, t, ok := s.slice(addr, 8); ok {
-		return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(t)
+	if r, off := s.span(addr, 8); r != nil {
+		return binary.LittleEndian.Uint64(r.bytes[off:]), binary.LittleEndian.Uint64(r.taint[off:])
 	}
-	var bb, tb [8]byte
-	for i := 0; i < 8; i++ {
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			bb[i] = b[0]
-			tb[i] = t[0]
+	for i := 7; i >= 0; i-- {
+		val <<= 8
+		taint <<= 8
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			val |= uint64(r.bytes[off])
+			taint |= uint64(r.taint[off])
 		}
 	}
-	return binary.LittleEndian.Uint64(bb[:]), binary.LittleEndian.Uint64(tb[:])
+	return val, taint
 }
 
 // Write64 writes a little-endian 64-bit word and its taint mask, unchecked.
 func (s *Space) Write64(addr uint64, val, taint uint64) {
-	if b, t, ok := s.slice(addr, 8); ok {
-		binary.LittleEndian.PutUint64(b, val)
-		binary.LittleEndian.PutUint64(t, taint)
+	if r, off := s.span(addr, 8); r != nil {
+		binary.LittleEndian.PutUint64(r.bytes[off:], val)
+		binary.LittleEndian.PutUint64(r.taint[off:], taint)
+		mark(r.dirtyB, off, 8)
+		mark(r.dirtyT, off, 8)
 		return
 	}
 	for i := 0; i < 8; i++ {
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			b[0] = byte(val >> (8 * i))
-			t[0] = byte(taint >> (8 * i))
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			r.bytes[off] = byte(val >> (8 * i))
+			r.taint[off] = byte(taint >> (8 * i))
+			mark(r.dirtyB, off, 1)
+			mark(r.dirtyT, off, 1)
 		}
 	}
 }
 
 // RegionBytes returns the live backing bytes of the region containing addr
-// (nil if unmapped). The slice aliases the space's storage — callers must
+// (nil if unmapped). The slice aliases the space's storage and writes
+// through it bypass dirty tracking (Reset would miss them), so callers must
 // treat it as read-only; it exists so observers (coverage diffing, hashing)
 // can scan large regions without copying them.
 func (s *Space) RegionBytes(addr uint64) []byte {
-	r := s.Region(addr)
-	if r == nil {
-		return nil
+	if r := s.find(addr); r != nil {
+		return r.bytes
 	}
-	return s.bytes[r.Base]
+	return nil
 }
 
 // Read32 reads a little-endian 32-bit word without permission checks or
 // allocation (the architectural simulator's fetch path).
 func (s *Space) Read32(addr uint64) uint32 {
-	if b, _, ok := s.slice(addr, 4); ok {
-		return binary.LittleEndian.Uint32(b)
+	if r, off := s.span(addr, 4); r != nil {
+		return binary.LittleEndian.Uint32(r.bytes[off:])
 	}
 	var v uint32
 	for i := 0; i < 4; i++ {
-		if b, _, ok := s.slice(addr+uint64(i), 1); ok {
-			v |= uint32(b[0]) << (8 * i)
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			v |= uint32(r.bytes[off]) << (8 * i)
 		}
 	}
 	return v
@@ -333,59 +480,54 @@ func (s *Space) Read32(addr uint64) uint32 {
 // decides whether that data is architecturally visible.
 func (s *Space) Read(addr uint64, size int, kind AccessKind) (val, taint uint64, err error) {
 	err = s.Check(addr, size, kind)
-	if b, t, ok := s.slice(addr, size); ok {
+	if r, off := s.span(addr, size); r != nil {
 		for i := size - 1; i >= 0; i-- {
-			val = val<<8 | uint64(b[i])
-			taint = taint<<8 | uint64(t[i])
+			val = val<<8 | uint64(r.bytes[off+uint64(i)])
+			taint = taint<<8 | uint64(r.taint[off+uint64(i)])
 		}
 		return val, taint, err
 	}
 	for i := size - 1; i >= 0; i-- {
 		val <<= 8
 		taint <<= 8
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			val |= uint64(b[0])
-			taint |= uint64(t[0])
+		if r, off := s.span(addr+uint64(i), 1); r != nil {
+			val |= uint64(r.bytes[off])
+			taint |= uint64(r.taint[off])
 		}
 	}
 	return val, taint, err
 }
 
-// Write stores size bytes with permission checks.
+// Write stores size bytes with permission checks. A store that passes the
+// check lies inside one region.
 func (s *Space) Write(addr uint64, size int, val, taint uint64, kind AccessKind) error {
 	if err := s.Check(addr, size, kind); err != nil {
 		return err
 	}
-	if b, t, ok := s.slice(addr, size); ok {
-		for i := 0; i < size; i++ {
-			b[i] = byte(val >> (8 * i))
-			t[i] = byte(taint >> (8 * i))
-		}
-		return nil
-	}
+	r, off := s.span(addr, size)
 	for i := 0; i < size; i++ {
-		if b, t, ok := s.slice(addr+uint64(i), 1); ok {
-			b[0] = byte(val >> (8 * i))
-			t[0] = byte(taint >> (8 * i))
-		}
+		r.bytes[off+uint64(i)] = byte(val >> (8 * i))
+		r.taint[off+uint64(i)] = byte(taint >> (8 * i))
 	}
+	mark(r.dirtyB, off, uint64(size))
+	mark(r.dirtyT, off, uint64(size))
 	return nil
 }
 
-// Clone returns a deep copy of the space (regions, bytes and taints).
-// The swap runtime clones the template space once per DUT instance.
+// Clone returns a deep copy of the space: regions, bytes, taints and dirty
+// state, so a clone resets exactly like its original. Only tests call it
+// (to run two models over one initial image); execution contexts reset
+// their spaces in place instead.
 func (s *Space) Clone() *Space {
-	c := NewSpace()
-	for _, r := range s.regions {
+	// The index is never written after it is built, so clones share it.
+	c := &Space{regions: make([]*region, len(s.regions)), index: s.index, lo: s.lo, shift: s.shift}
+	for i, r := range s.regions {
 		nr := *r
-		c.regions = append(c.regions, &nr)
-		b := make([]byte, len(s.bytes[r.Base]))
-		copy(b, s.bytes[r.Base])
-		c.bytes[nr.Base] = b
-		t := make([]byte, len(s.taint[r.Base]))
-		copy(t, s.taint[r.Base])
-		c.taint[nr.Base] = t
-		c.initPerm[nr.Base] = s.initPerm[r.Base]
+		nr.bytes = append([]byte(nil), r.bytes...)
+		nr.taint = append([]byte(nil), r.taint...)
+		nr.dirtyB = append([]uint64(nil), r.dirtyB...)
+		nr.dirtyT = append([]uint64(nil), r.dirtyT...)
+		c.regions[i] = &nr
 	}
 	return c
 }

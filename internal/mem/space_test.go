@@ -33,6 +33,48 @@ func TestRegionLookup(t *testing.T) {
 	}
 }
 
+// TestRegionLookupSparse covers a layout too sparse for the granule
+// index, which find scans instead, and an odd-sized region that forces a
+// one-byte granule.
+func TestRegionLookupSparse(t *testing.T) {
+	sparse := NewSpace()
+	sparse.MustAddRegion(Region{Name: "hi", Base: 1 << 40, Size: 0x100, Perm: PermRead | PermWrite})
+	sparse.MustAddRegion(Region{Name: "lo", Base: 0x1000, Size: 0x100, Perm: PermRead | PermWrite})
+	odd := NewSpace()
+	odd.MustAddRegion(Region{Name: "lo", Base: 0x1000, Size: 0x100, Perm: PermRead | PermWrite})
+	odd.MustAddRegion(Region{Name: "hi", Base: 0x1101, Size: 0x7f, Perm: PermRead | PermWrite})
+	if sparse.index != nil || odd.index == nil || odd.shift != 0 {
+		t.Fatalf("index: sparse %v, odd %d entries shift %d", sparse.index != nil, len(odd.index), odd.shift)
+	}
+	for _, s := range []*Space{sparse, odd} {
+		hi := s.RegionByName("hi")
+		for addr, want := range map[uint64]string{
+			0xfff: "", 0x1000: "lo", 0x10ff: "lo", 0x1100: "",
+			hi.Base: "hi", hi.Base + hi.Size - 1: "hi", hi.Base + hi.Size: "",
+		} {
+			got := ""
+			if r := s.Region(addr); r != nil {
+				got = r.Name
+			}
+			if got != want {
+				t.Fatalf("Region(%#x) = %q, want %q", addr, got, want)
+			}
+		}
+		s.Write64(0x10fc, ^uint64(0), ^uint64(0)) // half unmapped
+		if v, tt := s.Read64(0x10f8); v != 0xffffffff00000000 || tt != v {
+			t.Fatalf("straddling write: %#x/%#x", v, tt)
+		}
+		s.Write64(hi.Base, 7, 1)
+		s.Reset()
+		if v, tt := s.Read64(0x10f8); v != 0 || tt != 0 {
+			t.Fatal("Reset left data in lo")
+		}
+		if v, tt := s.Read64(hi.Base); v != 0 || tt != 0 {
+			t.Fatal("Reset left data in hi")
+		}
+	}
+}
+
 func TestOverlapRejected(t *testing.T) {
 	s := testSpace(t)
 	if _, err := s.AddRegion(Region{Name: "bad", Base: 0x1800, Size: 0x1000}); err == nil {
@@ -183,4 +225,32 @@ func TestFaultError(t *testing.T) {
 	if AccessFetch.String() != "fetch" || AccessLoad.String() != "load" {
 		t.Fatal("AccessKind strings wrong")
 	}
+}
+
+// BenchmarkSpaceRead64 measures the unchecked word read on a six-region
+// space laid out like the swapMem address space, cycling through an
+// address in every region.
+func BenchmarkSpaceRead64(b *testing.B) {
+	s := NewSpace()
+	for i, r := range []Region{
+		{Name: "shared", Base: 0x1000, Size: 0x1000, Perm: PermRead | PermExec},
+		{Name: "dedicated", Base: 0x2000, Size: 0x1000, Perm: PermRead | PermWrite},
+		{Name: "guardacc", Base: 0x3000, Size: 0x800},
+		{Name: "guardpage", Base: 0x3800, Size: 0x800, Fault: FaultPage},
+		{Name: "swap", Base: 0x4000, Size: 0x4000, Perm: PermRead | PermWrite | PermExec},
+		{Name: "data", Base: 0x8000, Size: 0x8000, Perm: PermRead | PermWrite},
+	} {
+		s.MustAddRegion(r)
+		s.Write64(r.Base+8*uint64(i), uint64(i), 0)
+	}
+	addrs := []uint64{0x1008, 0x4010, 0x8018, 0x2020, 0x4ff8, 0xfff8, 0x3808, 0x5000}
+	b.ReportAllocs()
+	var sum uint64
+	for b.Loop() {
+		for _, a := range addrs {
+			v, t := s.Read64(a)
+			sum += v ^ t
+		}
+	}
+	_ = sum
 }

@@ -74,3 +74,36 @@ func TestRuntimeRebindEquivalence(t *testing.T) {
 		t.Fatalf("rebind left stale state: %+v", rt)
 	}
 }
+
+// TestClearSwapKeepsTaint pins the packet-unload semantics: ClearSwap zeroes
+// every byte of the swappable region and leaves its taint shadow untouched
+// (a packet swap moves code, not data, so taint a previous packet's stores
+// left behind stays visible to the next one). Neighbouring regions are not
+// touched at all.
+func TestClearSwapKeepsTaint(t *testing.T) {
+	sp := NewSpace(secret)
+	sp.WriteRaw(SwapBase, bytes.Repeat([]byte{0xaa}, SwapSize))
+	sp.SetTaint(SwapBase+0x10, 0x20, true)
+	sp.SetTaint(SwapBase+SwapSize-3, 3, true)
+	sp.WriteRaw(DataBase, []byte{5, 6, 7})
+	sp.SetTaint(DataBase, 3, true)
+	wantTaint := sp.TaintRaw(SwapBase, SwapSize)
+
+	ClearSwap(sp)
+
+	if b := sp.ReadRaw(SwapBase, SwapSize); !bytes.Equal(b, make([]byte, SwapSize)) {
+		t.Fatal("ClearSwap left nonzero bytes in the swappable region")
+	}
+	if got := sp.TaintRaw(SwapBase, SwapSize); !bytes.Equal(got, wantTaint) {
+		t.Fatal("ClearSwap changed the swappable region's taint")
+	}
+	if b := sp.ReadRaw(DataBase, 3); !bytes.Equal(b, []byte{5, 6, 7}) {
+		t.Fatalf("ClearSwap touched the data region: %v", b)
+	}
+	if tt := sp.TaintRaw(DataBase, 3); !bytes.Equal(tt, []byte{0xff, 0xff, 0xff}) {
+		t.Fatalf("ClearSwap touched the data region's taint: %v", tt)
+	}
+	if v, tt := sp.Read64(SecretAddr); v != 0x0807060504030201 || tt != ^uint64(0) {
+		t.Fatalf("ClearSwap touched the secret: %#x/%#x", v, tt)
+	}
+}

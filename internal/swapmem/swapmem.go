@@ -184,28 +184,28 @@ func loadContents(sp *mem.Space, secret []byte) {
 	installFirmware(sp)
 }
 
-// Firmware images are identical for every space; assemble them once.
-var (
-	fwSwapDone = isa.MustAsm(SharedBase, "swap_done:\necall").Bytes()
-	// Nop filler with a trailing ecall every 64 bytes so transient fetches
-	// into the shared region decode cleanly.
-	fwFiller = isa.MustAsm(SharedBase+0x100, `
+// fwImage is the shared region's runtime image, identical for every space
+// and assembled once: the swap_done packet terminator at SharedBase and a
+// page of executable nop filler (a trailing ecall every 64 bytes from
+// SharedBase+0x100, so transient fetches into the shared region decode
+// cleanly) used as a landing pad by icache-encoding gadgets.
+var fwImage = func() []byte {
+	img := make([]byte, SharedSize)
+	copy(img, isa.MustAsm(SharedBase, "swap_done:\necall").Bytes())
+	filler := isa.MustAsm(SharedBase+0x100, `
 		nop
 		nop
 		nop
 		ecall
 	`).Bytes()
-)
-
-// installFirmware writes the shared-region runtime stubs: the swap_done
-// packet terminator at SharedBase and a page of executable nop filler used
-// as a landing pad by icache-encoding gadgets.
-func installFirmware(sp *mem.Space) {
-	sp.WriteRaw(SharedBase, fwSwapDone)
-	for off := uint64(0x100); off+16 <= SharedSize; off += 64 {
-		sp.WriteRaw(SharedBase+off, fwFiller)
+	for off := 0x100; off+16 <= SharedSize; off += 64 {
+		copy(img[off:], filler)
 	}
-}
+	return img
+}()
+
+// installFirmware writes the shared-region runtime image.
+func installFirmware(sp *mem.Space) { sp.WriteRaw(SharedBase, fwImage) }
 
 // FlipSecret returns the bit-flipped secret used for the variant DUT —
 // the paper's strategy for avoiding identical control values (false
@@ -261,14 +261,12 @@ func (rt *Runtime) Rebind(core *uarch.Core, space *mem.Space, sched *Schedule) {
 	core.TrapHook = rt.onTrap
 }
 
-// zeroSwap is the shared source for clearing the swappable region; it is
-// never written.
-var zeroSwap = make([]byte, SwapSize)
-
-// ClearSwap zeroes the swappable region — the shared packet-unload step for
-// every runtime that mirrors the swap scheduling (the uarch Runtime here,
-// the architectural one in internal/isadiff).
-func ClearSwap(sp *mem.Space) { sp.WriteRaw(SwapBase, zeroSwap) }
+// ClearSwap zeroes the swappable region's bytes and leaves its taint — the
+// shared packet-unload step for every runtime that mirrors the swap
+// scheduling (the uarch Runtime here, the architectural one in
+// internal/isadiff). Only blocks written since they were last zeroed are
+// cleared.
+func ClearSwap(sp *mem.Space) { sp.ZeroBytes(SwapBase, SwapSize) }
 
 // loadPacket writes the packet image into the swappable region and flushes
 // the icache (swapped code must be refetched).
